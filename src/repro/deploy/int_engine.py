@@ -52,31 +52,84 @@ _INT8_MAX = 127
 
 _INT64_MAX = np.iinfo(np.int64).max
 
-#: Largest integer magnitude float64 represents exactly (2**53).  Below this
-#: bound a float64 GEMM over integer operands is *exact*: every product and
-#: every partial sum is an integer with an exact float64 representation, so
-#: no rounding can occur at any accumulation order.
-_EXACT_FLOAT_GEMM_LIMIT = float(2**53)
+#: Exactness cascade of the GEMM contraction.  A float GEMM over integer
+#: operands is *exact* when ``K * max|lhs| * max|rhs|`` stays below the
+#: largest integer magnitude the float type represents exactly: every
+#: product and every partial sum is then an integer with an exact
+#: representation, so no rounding can occur at any accumulation order.
+#: float32 holds integers exactly up to 2**24, float64 up to 2**53.
+_EXACT_FLOAT32_GEMM_LIMIT = float(2**24)
+_EXACT_FLOAT64_GEMM_LIMIT = float(2**53)
 
 
-def _gemm_accumulate(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _peak(values: np.ndarray) -> float:
+    """Largest magnitude in ``values`` (0 when empty).
+
+    Taken from ``min``/``max`` in float rather than ``np.abs``, which wraps
+    the int64 minimum ``-2**63`` to itself and would read it as small.
+    """
+    if not values.size:
+        return 0.0
+    return max(-float(values.min()), float(values.max()))
+
+
+def _gemm_accumulate(
+    lhs: np.ndarray, rhs: np.ndarray, rhs_peak: Optional[float] = None
+) -> np.ndarray:
     """Integer matmul with int64 semantics, routed through BLAS when exact.
 
     NumPy has no vectorised integer matmul (int64 ``@`` falls back to slow
-    generic loops), but a float64 GEMM over integer operands is bit-exact
-    whenever ``K * max|lhs| * max|rhs|`` stays below 2**53: each product and
-    each running partial sum is then an integer that float64 represents
-    exactly, so BLAS reassociation cannot round.  int8-grid operands clear
-    that bound by ~9 orders of magnitude; anything larger (or empty) falls
-    back to the exact-by-definition int64 path.
+    generic loops), but a float GEMM over integer operands is bit-exact
+    below the bounds of the exactness cascade: float32 when
+    ``K * max|lhs| * max|rhs| < 2**24``, float64 below 2**53, and the
+    exact-by-definition int64 path otherwise.  int8-grid operands (peaks up
+    to 128) always take the float32 tier for ``K < 1024``.
+    ``rhs_peak`` is the precomputed peak of a constant ``rhs``; the bound
+    is checked on every call.  The
+    returned int64 accumulator is always a fresh array the caller owns.
     """
-    k = lhs.shape[-1]
-    lhs_peak = float(np.abs(lhs).max()) if lhs.size else 0.0
-    rhs_peak = float(np.abs(rhs).max()) if rhs.size else 0.0
-    if k * lhs_peak * rhs_peak < _EXACT_FLOAT_GEMM_LIMIT:
-        product = lhs.astype(np.float64) @ rhs.astype(np.float64)
-        return product.astype(np.int64)
-    return lhs.astype(np.int64) @ rhs.astype(np.int64)
+    if rhs_peak is None:
+        rhs_peak = _peak(rhs)
+    bound = lhs.shape[-1] * _peak(lhs) * rhs_peak
+    if bound < _EXACT_FLOAT32_GEMM_LIMIT:
+        dtype = np.float32
+    elif bound < _EXACT_FLOAT64_GEMM_LIMIT:
+        dtype = np.float64
+    else:
+        return lhs.astype(np.int64) @ rhs.astype(np.int64)
+    product = lhs.astype(dtype, copy=False) @ rhs.astype(dtype, copy=False)
+    return product.astype(np.int64)
+
+
+def _requant_inplace(
+    accumulator: np.ndarray, multiplier: int, shift: int, qmin: int, qmax: int
+) -> np.ndarray:
+    """Requantise an int64 ``accumulator`` the caller owns, overwriting it.
+
+    Multiply, round-add, shift and clip all run in place; only the final
+    int32 cast allocates.
+    """
+    accumulator *= multiplier
+    if shift > 0:
+        accumulator += np.int64(1) << (shift - 1)
+        accumulator >>= shift
+    elif shift < 0:
+        left = -shift
+        # Left shifts occur only for extreme (>~2) requantisation factors.
+        # A saturating value would overflow int64 and wrap sign; clipping
+        # to [qmin, qmax] *before* the shift is exact, because the final
+        # clip is monotone and qmin <= 0 <= qmax: any value outside the
+        # grid before scaling up lands on the same bound after it.
+        accumulator = np.clip(accumulator, qmin, qmax)
+        if (int(max(abs(qmin), abs(qmax))) << left) > _INT64_MAX:
+            # The shift alone exceeds int64: every non-zero value saturates.
+            accumulator = np.where(
+                accumulator > 0, qmax, np.where(accumulator < 0, qmin, 0)
+            )
+        else:
+            accumulator = accumulator << np.int64(left)
+    np.clip(accumulator, qmin, qmax, out=accumulator)
+    return accumulator.astype(np.int32)
 
 
 def apply_requant(
@@ -92,26 +145,11 @@ def apply_requant(
     ``(multiplier, shift)`` pair (precomputed at lowering time, or memoised
     by the executor), so one encoded requantiser is reused across every
     invocation of the kernel instead of re-running the encoding loops of
-    :func:`~repro.deploy.lowering.quantize_multiplier` per call.
+    :func:`~repro.deploy.lowering.quantize_multiplier` per call.  ``values``
+    is left untouched: the arithmetic runs in place on an int64 copy.
     """
-    scaled = values.astype(np.int64) * multiplier
-    if shift > 0:
-        rounding = np.int64(1) << (shift - 1)
-        scaled = (scaled + rounding) >> shift
-    elif shift < 0:
-        left = -shift
-        # Left shifts occur only for extreme (>~2) requantisation factors.
-        # A saturating value would overflow int64 and wrap sign; clipping
-        # to [qmin, qmax] *before* the shift is exact, because the final
-        # clip is monotone and qmin <= 0 <= qmax: any value outside the
-        # grid before scaling up lands on the same bound after it.
-        scaled = np.clip(scaled, qmin, qmax)
-        if (int(max(abs(qmin), abs(qmax))) << left) > _INT64_MAX:
-            # The shift alone exceeds int64: every non-zero value saturates.
-            scaled = np.where(scaled > 0, qmax, np.where(scaled < 0, qmin, 0))
-        else:
-            scaled = scaled << np.int64(left)
-    return np.clip(scaled, qmin, qmax).astype(np.int32)
+    accumulator = np.array(values, dtype=np.int64)
+    return _requant_inplace(accumulator, multiplier, shift, qmin, qmax)
 
 
 def requantize(
@@ -142,31 +180,34 @@ def int_gemm(
     rhs: np.ndarray,
     bias: Optional[np.ndarray] = None,
     requant: Optional[Tuple[int, int, int, int]] = None,
+    rhs_peak: Optional[float] = None,
 ) -> np.ndarray:
     """Shared integer GEMM primitive: ``lhs @ rhs`` with int64 accumulation.
 
     ``lhs`` is ``(..., M, K)`` and ``rhs`` ``(K, N)`` (or ``(..., K, N)``
-    for stacked batched multiplies); both are upcast to int64 so the whole
-    contraction runs as a single integer matmul — this is the kernel the
-    im2col'd ``conv1d``, ``linear`` and attention ``matmul`` paths all
-    lower onto.  ``bias`` (int64, broadcast over the trailing axis) is
-    added to the accumulator, and ``requant`` — a
-    ``(multiplier, shift, qmin, qmax)`` tile — applies the fixed-point
-    output requantisation once over the full output tile.  Without
-    ``requant`` the raw int64 accumulator is returned.
+    for stacked batched multiplies); the whole contraction runs as a single
+    matmul with int64 semantics — this is the kernel the im2col'd
+    ``conv1d``, ``linear`` and attention ``matmul`` paths all lower onto.
+    ``bias`` (integer, broadcast over the trailing axis) is added to the
+    accumulator, and ``requant`` — a ``(multiplier, shift, qmin, qmax)``
+    tile — applies the fixed-point output requantisation once over the
+    full output tile.  Without ``requant`` the raw int64 accumulator is
+    returned.  ``rhs_peak`` is the precomputed ``max|rhs|`` of a constant
+    weight operand.
 
     The contraction itself runs through BLAS whenever that is provably
     exact for the operand ranges (see :func:`_gemm_accumulate`) — int8-grid
     inputs always qualify — which is where the GEMM schedule's speedup
-    over the per-op integer einsum kernels comes from.
+    over the per-op integer einsum kernels comes from.  The bias add and
+    the requantisation then run in place on the fresh accumulator.
     """
-    accumulator = _gemm_accumulate(lhs, rhs)
+    accumulator = _gemm_accumulate(lhs, rhs, rhs_peak)
     if bias is not None:
-        accumulator = accumulator + bias
+        accumulator += bias
     if requant is None:
         return accumulator
     multiplier, shift, qmin, qmax = requant
-    return apply_requant(accumulator, multiplier, shift, qmin, qmax)
+    return _requant_inplace(accumulator, multiplier, shift, qmin, qmax)
 
 
 def _im2col(
@@ -232,6 +273,9 @@ class IntegerGraphExecutor:
         # at runtime, so the encoding loops of ``quantize_multiplier`` are
         # paid once per distinct factor instead of once per invocation.
         self._multiplier_cache: Dict[float, Tuple[int, int]] = {}
+        # GEMM weight memo: node name -> ((K, N) weight matrix, its peak).
+        # Only the activation operand is cast per call.
+        self._weight_cache: Dict[str, Tuple[np.ndarray, float]] = {}
 
     @property
     def uses_luts(self) -> bool:
@@ -253,13 +297,35 @@ class IntegerGraphExecutor:
         return cached
 
     def _requant_to(self, values: np.ndarray, in_scale: float, tensor_name: str) -> np.ndarray:
+        """Requantise ``values`` onto ``tensor_name``'s grid.
+
+        ``values`` is consumed: an int64 array is overwritten in place, so
+        callers pass an accumulator they own (never a stored tensor).
+        """
         out = self._activation(tensor_name)
         factor = in_scale / out.scale
-        values = np.asarray(values)
+        values = np.asarray(values, dtype=np.int64)
         if factor < 0:
-            values, factor = -values, -factor
+            np.negative(values, out=values)
+            factor = -factor
         multiplier, shift = self._encode_multiplier(factor)
-        return apply_requant(values, multiplier, shift, out.qmin, out.qmax)
+        return _requant_inplace(values, multiplier, shift, out.qmin, out.qmax)
+
+    def _gemm_weight(self, node: GraphNode, weight: np.ndarray) -> Tuple[np.ndarray, float]:
+        """The memoised ``(K, N)`` GEMM operand of a conv1d/linear weight.
+
+        The matrix is cast to float32 once when that is exact (every entry
+        below 2**24), so the float32 tier never re-casts it; the other
+        tiers upcast it exactly.
+        """
+        cached = self._weight_cache.get(node.name)
+        if cached is None:
+            matrix = weight.reshape(weight.shape[0], -1).T
+            peak = _peak(matrix)
+            if peak < _EXACT_FLOAT32_GEMM_LIMIT:
+                matrix = matrix.astype(np.float32)
+            cached = self._weight_cache[node.name] = (matrix, peak)
+        return cached
 
     def _gemm_requant(
         self, lowered: QuantizedNode, out_name: str, factor: float
@@ -314,14 +380,15 @@ class IntegerGraphExecutor:
                     dilation=int(node.attrs["dilation"]),
                 )
                 batch, out_length, patch_dim = patches.shape
-                flat_weight = weight.values.reshape(out_channels, patch_dim)
+                flat_weight, weight_peak = self._gemm_weight(node, weight.values)
                 quantized = int_gemm(
                     patches.reshape(batch * out_length, patch_dim),
-                    flat_weight.T,
+                    flat_weight,
                     bias=bias.values if bias is not None else None,
                     requant=self._gemm_requant(
                         lowered, out_name, in_scale * weight.scale
                     ),
+                    rhs_peak=weight_peak,
                 )
                 return quantized.reshape(batch, out_length, out_channels).transpose(0, 2, 1)
             accumulator = _int_conv1d(
@@ -341,13 +408,15 @@ class IntegerGraphExecutor:
             if self.use_gemm:
                 out_features, in_features = weight.values.shape
                 lead = q_x.shape[:-1]
+                matrix, weight_peak = self._gemm_weight(node, weight.values)
                 quantized = int_gemm(
                     q_x.reshape(-1, in_features),
-                    weight.values.T,
+                    matrix,
                     bias=bias.values if bias is not None else None,
                     requant=self._gemm_requant(
                         lowered, out_name, in_scale * weight.scale
                     ),
+                    rhs_peak=weight_peak,
                 )
                 return quantized.reshape(lead + (out_features,))
             accumulator = q_x.astype(np.int64) @ weight.values.T.astype(np.int64)
@@ -402,7 +471,7 @@ class IntegerGraphExecutor:
             return np.clip(rescaled + positions, out.qmin, out.qmax).astype(np.int32)
 
         if op == "relu":
-            return self._requant_to(np.maximum(q_x, 0).astype(np.int64), in_scale, out_name)
+            return self._requant_to(np.maximum(q_x, 0), in_scale, out_name)
 
         if op == "gelu":
             table = lowered.luts.get("gelu") if self.use_lut else None
@@ -417,13 +486,16 @@ class IntegerGraphExecutor:
             axis = int(node.attrs.get("axis", -1))
             table = lowered.luts.get("exp") if self.use_lut else None
             if table is not None:
+                # One int64 buffer carries the shifted logits, then the
+                # normalised numerator: every step after the copy is in place.
                 q = q_x.astype(np.int64)
-                shifted = q - q.max(axis=axis, keepdims=True)
-                q_exp = table.take(shifted)
+                q -= q.max(axis=axis, keepdims=True)
+                q_exp = table.take(q)
                 total = np.maximum(q_exp.sum(axis=axis, keepdims=True), 1)
                 factor = np.int64(1) << ibert.SOFTMAX_OUTPUT_BITS
-                q_out = (q_exp * factor) // total
-                return self._requant_to(q_out, 1.0 / float(factor), out_name)
+                np.multiply(q_exp, factor, out=q)
+                q //= total
+                return self._requant_to(q, 1.0 / float(factor), out_name)
             q_out, softmax_scale = ibert.integer_softmax(
                 q_x.astype(np.int64), in_scale, axis=axis
             )
@@ -432,7 +504,7 @@ class IntegerGraphExecutor:
         if op == "layernorm":
             weight = lowered.constants["weight"].values
             bias = lowered.constants["bias"].values
-            q_out, ln_scale = ibert.integer_layernorm(q_x.astype(np.int64), in_scale, weight, bias)
+            q_out, ln_scale = ibert.integer_layernorm(q_x, in_scale, weight, bias)
             return self._requant_to(q_out, ln_scale, out_name)
 
         if op == "avgpool1d":

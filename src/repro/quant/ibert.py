@@ -145,8 +145,12 @@ def integer_sqrt(values: np.ndarray) -> np.ndarray:
     estimate = estimate.astype(np.int64)
     for _ in range(20):
         new_estimate = (estimate + x // np.maximum(estimate, 1)) // 2
-        converged = new_estimate >= estimate
-        estimate = np.where(converged, estimate, new_estimate)
+        moved = new_estimate < estimate
+        if not moved.any():
+            # A step that moves no element reaches Newton's fixed point:
+            # every further step would repeat it.
+            break
+        estimate = np.where(moved, new_estimate, estimate)
     result[positive] = estimate
     return result
 
@@ -164,17 +168,21 @@ def integer_layernorm(
     deviation is computed with :func:`integer_sqrt`, and the affine
     parameters are folded in at the output scale.
     """
-    q = q.astype(np.int64)
-    features = q.shape[-1]
-    mean = q.sum(axis=-1, keepdims=True) // features
-    centered = q - mean
+    # One int64 copy of ``q`` is centred, scaled and divided in place.
+    centered = np.array(q, dtype=np.int64)
+    features = centered.shape[-1]
+    centered -= centered.sum(axis=-1, keepdims=True) // features
     variance = (centered * centered).sum(axis=-1, keepdims=True) // features
     std = np.maximum(integer_sqrt(variance), 1)
     # Normalised value in a fixed-point format with `output_bits` fraction bits.
     factor = 2**output_bits
-    normalised = (centered * factor) // std
+    normalised = centered
+    normalised *= factor
+    normalised //= std
     scale_out = 1.0 / factor
     # Fold the affine parameters (kept in float, as I-BERT folds them into
     # the following requantisation step).
-    q_out = np.round(normalised * weight + bias / scale_out).astype(np.int64)
+    affine = normalised * weight
+    affine += bias / scale_out
+    q_out = np.round(affine, out=affine).astype(np.int64)
     return q_out, scale_out

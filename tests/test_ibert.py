@@ -1,5 +1,7 @@
 """Tests of the I-BERT integer-only kernels against float references."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf, softmax as scipy_softmax
@@ -100,6 +102,16 @@ class TestIntegerSqrt:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             integer_sqrt(np.array([-1]))
+
+    def test_matches_isqrt_exhaustively_below_2_pow_20(self):
+        values = np.arange(2**20, dtype=np.int64)
+        expected = np.array([math.isqrt(int(v)) for v in values], dtype=np.int64)
+        np.testing.assert_array_equal(integer_sqrt(values), expected)
+
+    def test_matches_isqrt_on_seeded_values_below_2_pow_62(self):
+        values = np.random.default_rng(62).integers(0, 2**62, size=200_000, dtype=np.int64)
+        expected = np.array([math.isqrt(int(v)) for v in values], dtype=np.int64)
+        np.testing.assert_array_equal(integer_sqrt(values), expected)
 
 
 class TestIntegerLayerNorm:

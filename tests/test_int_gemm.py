@@ -10,6 +10,9 @@ nonlinearity op sets, and batch sizes 1/3/8/16, plus batched-vs-single
 invariance and the tile metadata the lowering pass precomputes.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,63 @@ class TestIntGemmPrimitive:
                 requantize(accumulators, factor),
             )
 
+    def test_int64_minimum_is_not_read_as_a_small_peak(self):
+        """``np.abs`` wraps ``-2**63`` to itself; the peak must not, or the
+        contraction would be routed through float BLAS and round."""
+        lhs = np.array([[-(2**63), 1]], dtype=np.int64)
+        rhs = np.array([[1], [1]], dtype=np.int64)
+        result = int_gemm(lhs, rhs)
+        assert result.dtype == np.int64
+        assert int(result[0, 0]) == -(2**63) + 1
+
+    def test_float32_tier_just_below_its_bound_is_exact(self, rng):
+        # 1040 * 127 * 127 = 16_774_160 < 2**24: every partial sum of
+        # same-sign operands climbs to just under the float32 limit.
+        k = 1040
+        assert k * 127 * 127 < 2**24
+        lhs = np.full((3, k), 127, dtype=np.int32)
+        lhs[1] = -127
+        lhs[2] = rng.integers(-127, 128, size=k)
+        rhs = np.full((k, 4), 127, dtype=np.int8)
+        rhs[:, 1] = -127
+        rhs[:, 2] = rng.integers(-127, 128, size=k)
+        expected = np.einsum("mk,kn->mn", lhs.astype(np.int64), rhs.astype(np.int64))
+        np.testing.assert_array_equal(int_gemm(lhs, rhs), expected)
+        assert expected[0, 0] == k * 127 * 127
+
+    def test_float32_tier_falls_back_just_above_its_bound(self, rng):
+        # 1041 * 127 * 127 = 16_790_289 > 2**24 and odd: float32 has no
+        # representation for it, so only the float64 tier gets it exact.
+        k = 1041
+        assert k * 127 * 127 > 2**24
+        lhs = np.full((2, k), 127, dtype=np.int32)
+        lhs[1, rng.permutation(k)[:5]] = 125  # odd, still same sign
+        rhs = np.full((k, 3), 127, dtype=np.int32)
+        rhs[:, 1] = -127
+        rhs[:, 2] = 2 * rng.integers(-63, 64, size=k) + 1  # odd entries
+        expected = np.einsum("mk,kn->mn", lhs.astype(np.int64), rhs.astype(np.int64))
+        assert expected[0, 0] == 16_790_289
+        assert float(np.float32(expected[0, 0])) != expected[0, 0]
+        np.testing.assert_array_equal(int_gemm(lhs, rhs), expected)
+
+    def test_float64_tier_falls_back_just_above_its_bound(self):
+        # K * peak * peak = 2**53 + 1: float64 would round the odd result.
+        lhs = np.array([[2**53 + 1]], dtype=np.int64)
+        rhs = np.array([[1]], dtype=np.int64)
+        np.testing.assert_array_equal(int_gemm(lhs, rhs), [[2**53 + 1]])
+
+    def test_bias_and_requant_leave_caller_arrays_untouched(self, rng):
+        lhs = rng.integers(-128, 128, size=(5, 8)).astype(np.int32)
+        rhs = rng.integers(-128, 128, size=(8, 3)).astype(np.int32)
+        bias = rng.integers(-1000, 1000, size=3).astype(np.int64)
+        copies = [lhs.copy(), rhs.copy(), bias.copy()]
+        int_gemm(lhs, rhs, bias=bias, requant=(*quantize_multiplier(0.01), -128, 127))
+        accumulators = rng.integers(-(2**20), 2**20, size=16)
+        before = accumulators.copy()
+        apply_requant(accumulators, *quantize_multiplier(0.37))
+        for array, copy in zip([lhs, rhs, bias, accumulators], copies + [before]):
+            np.testing.assert_array_equal(array, copy)
+
     @pytest.mark.parametrize(
         "stride,padding,dilation", [(1, 0, 1), (2, 1, 1), (1, 2, 2), (3, 0, 1)]
     )
@@ -140,6 +200,30 @@ class TestExecutorParity:
         gemm = IntegerGraphExecutor(quantized, use_gemm=True)
         einsum = IntegerGraphExecutor(quantized, use_gemm=False)
         np.testing.assert_array_equal(gemm.run(windows[:8]), einsum.run(windows[:8]))
+
+    def test_threads_sharing_a_cold_executor_agree_bitwise(self, quantized, windows):
+        """The per-executor weight memo fills lazily; executors are shared
+        by serving worker threads, so racing first calls must agree."""
+        expected = IntegerGraphExecutor(quantized).run_integer(windows[:3])
+        shared = IntegerGraphExecutor(quantized)
+        results = [None] * 6
+
+        def work(index):
+            results[index] = shared.run_integer(windows[:3])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for result in results:
+            np.testing.assert_array_equal(result, expected)
 
     def test_use_gemm_flag_default_and_opt_out(self, quantized):
         assert IntegerGraphExecutor(quantized).use_gemm is True
