@@ -2,9 +2,10 @@
 
 Runs the standard robustness sweep (``ScenarioSuite.default``) and the
 accuracy-vs-deadline curve through a *real* ``InferenceServer`` with a
-deterministically trained probe model on seeded synthetic recordings,
-and appends the headline numbers to ``BENCH_accuracy.json`` — the same
-trajectory pattern ``BENCH_serving.json`` uses.
+deterministically trained probe model on seeded synthetic recordings.
+With ``REPRO_RECORD_BENCH=1`` it appends the headline numbers to
+``BENCH_accuracy.json`` — the same trajectory pattern ``BENCH_serving.json``
+uses (see ``benchmarks/trajectory.py``).
 
 Two gates:
 
@@ -21,10 +22,6 @@ Finite-deadline points depend on host timing (queue depth races the
 clock) and are recorded for the trajectory but never gated.
 """
 
-import json
-import os
-import time
-
 import numpy as np
 import pytest
 
@@ -38,6 +35,7 @@ from repro.eval import (
 from repro.serve import BackendCache, InferenceServer
 
 from conftest import report
+from trajectory import Trajectory
 
 GEOMETRY = dict(num_channels=4, num_classes=5)
 WINDOW, SLIDE, SMOOTHING = 60, 30, 5
@@ -51,54 +49,22 @@ ACCURACY_FLOOR = 0.75
 #: but the gate tolerates float-print rounding in the trajectory file).
 BASELINE_TOLERANCE = 1e-3
 
-_BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+TRAJECTORY = Trajectory(
     "BENCH_accuracy.json",
+    "Streaming accuracy trajectory (benchmarks/"
+    "test_eval_accuracy.py): scenario sweep + accuracy-vs-deadline "
+    "curve of the deterministic probe pipeline; newest entry last.",
+    digits=4,
+    geometry=dict(GEOMETRY, window=WINDOW, slide=SLIDE, smoothing=SMOOTHING),
 )
-_BENCH_HISTORY_CAP = 100
-_bench_metrics: dict = {}
-
-
-def record_bench(name: str, **metrics) -> None:
-    """Stash ``metrics`` under ``name`` for the trajectory dump."""
-    _bench_metrics[name] = {
-        key: round(float(value), 4) for key, value in metrics.items()
-    }
-
-
-def _load_history() -> list:
-    if not os.path.exists(_BENCH_PATH):
-        return []
-    try:
-        with open(_BENCH_PATH, "r", encoding="utf-8") as handle:
-            return json.load(handle).get("history", [])
-    except (json.JSONDecodeError, OSError):
-        return []  # a corrupt trajectory must never fail the suite
+record_bench = TRAJECTORY.record
 
 
 @pytest.fixture(scope="module", autouse=True)
 def bench_trajectory():
     """Append this run's metrics to the BENCH_accuracy.json trajectory."""
     yield
-    if not _bench_metrics:
-        return
-    history = _load_history()
-    history.append(
-        {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "geometry": dict(GEOMETRY, window=WINDOW, slide=SLIDE, smoothing=SMOOTHING),
-            "metrics": dict(sorted(_bench_metrics.items())),
-        }
-    )
-    payload = {
-        "description": "Streaming accuracy trajectory (benchmarks/"
-        "test_eval_accuracy.py): scenario sweep + accuracy-vs-deadline "
-        "curve of the deterministic probe pipeline; newest entry last.",
-        "history": history[-_BENCH_HISTORY_CAP:],
-    }
-    with open(_BENCH_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    TRAJECTORY.dump()
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +179,7 @@ def test_accuracy_vs_deadline_curve_and_baseline_gate(probe, recording):
 
     # ---- trajectory gate: never fall below the recorded baseline ----- #
     baseline = None
-    for entry in _load_history():
+    for entry in TRAJECTORY.history():
         recorded = (
             entry.get("metrics", {})
             .get("deadline_unlimited", {})

@@ -33,13 +33,12 @@ The GEMM benchmark gates the batched-integer-GEMM PR: with the MAC ops
 integer GEMM per node, batch >= 8 int8 inference must beat the per-op
 einsum baseline (again bit-identical logits — only the schedule differs).
 
-Every run also appends its headline throughput numbers to
-``BENCH_serving.json`` at the repository root, so later PRs can gate
-against the recorded latency/throughput trajectory instead of a single
-fragile absolute number.
+With ``REPRO_RECORD_BENCH=1`` a run also appends its headline throughput
+numbers to ``BENCH_serving.json`` at the repository root, so later PRs can
+compare against the recorded latency/throughput trajectory instead of a
+single fragile absolute number.
 """
 
-import json
 import os
 import time
 
@@ -58,57 +57,32 @@ from repro.serve import (
 )
 
 from conftest import report
+from trajectory import Trajectory
 
 GEOMETRY = dict(num_channels=4, window_samples=60, seed=11)
 NUM_WINDOWS = 96
 BATCH_CAPS = (1, 16, 64)
 WORKER_COUNTS = (1, 2, 4)
 
-#: Headline metrics accumulated by the benchmarks in this module and
-#: appended to BENCH_serving.json (one trajectory entry per pytest run).
-_BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_serving.json"
+#: Headline metrics of the benchmarks in this module; one trajectory entry
+#: per run is appended to BENCH_serving.json when recording is on (see
+#: benchmarks/trajectory.py).
+TRAJECTORY = Trajectory(
+    "BENCH_serving.json",
+    "Serving latency/throughput trajectory "
+    "(benchmarks/test_serving_throughput.py); newest entry last.",
+    digits=3,
+    geometry=GEOMETRY,
+    num_windows=NUM_WINDOWS,
 )
-_BENCH_HISTORY_CAP = 100
-_bench_metrics: dict = {}
-
-
-def record_bench(name: str, **metrics) -> None:
-    """Stash ``metrics`` (windows/s, speedups) under ``name`` for the dump."""
-    _bench_metrics[name] = {
-        key: round(float(value), 3) for key, value in metrics.items()
-    }
+record_bench = TRAJECTORY.record
 
 
 @pytest.fixture(scope="module", autouse=True)
 def bench_trajectory():
     """Append this run's metrics to the BENCH_serving.json trajectory."""
     yield
-    if not _bench_metrics:
-        return
-    history = []
-    if os.path.exists(_BENCH_PATH):
-        try:
-            with open(_BENCH_PATH, "r", encoding="utf-8") as handle:
-                history = json.load(handle).get("history", [])
-        except (json.JSONDecodeError, OSError):
-            history = []  # a corrupt trajectory must never fail the suite
-    history.append(
-        {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "geometry": GEOMETRY,
-            "num_windows": NUM_WINDOWS,
-            "metrics": dict(sorted(_bench_metrics.items())),
-        }
-    )
-    payload = {
-        "description": "Serving latency/throughput trajectory "
-        "(benchmarks/test_serving_throughput.py); newest entry last.",
-        "history": history[-_BENCH_HISTORY_CAP:],
-    }
-    with open(_BENCH_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    TRAJECTORY.dump()
 
 
 @pytest.fixture(scope="module")

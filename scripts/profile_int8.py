@@ -7,10 +7,13 @@ instance's ``_run_node`` from outside, so the program carries no profiling
 hook.  Fused nodes (``--optimize``) also list their stages, indented under
 the fused row; only top-level rows count towards the total.
 
-Columns: node, op, per-sample MACs (``GraphNode.macs``), median wall µs,
-share of the summed node medians, and achieved MAC/s
+Columns: node, op, token rows computed (``1/N`` for the nodes of the
+executor's class-token row plan, ``all`` otherwise), per-sample MACs
+executed (``GraphNode.macs``, divided by ``N`` for a planned node), median
+and p90 wall µs, share of the summed node medians, and achieved MAC/s
 (``batch * macs / median``).  The footer compares the summed node medians
-with the median end-to-end ``run_integer`` time.
+with the median end-to-end ``run_integer`` time and reports MAC/s over the
+MACs executed.
 
     PYTHONPATH=src python scripts/profile_int8.py --arch bio1 --patch 10 --batch 16
     PYTHONPATH=src python scripts/profile_int8.py --arch temponet --batch 1 --optimize
@@ -98,37 +101,60 @@ def profile(executor: IntegerGraphExecutor, inputs: np.ndarray, repeats: int, wa
     return samples, wall
 
 
+def executed_macs(node, planned: bool) -> int:
+    """MACs one sample actually executes: a planned node runs one token row.
+
+    ``GraphNode.macs`` counts every row; the row plan keeps one of the
+    ``output.shape[-2]`` token rows of each planned node (fused stages
+    included, since they share the token axis).
+    """
+    return node.macs // node.output.shape[-2] if planned else node.macs
+
+
 def render(executor: IntegerGraphExecutor, samples, wall, batch: int) -> str:
     medians = {key: float(np.median(times)) for key, times in samples.items()}
+    p90s = {key: float(np.percentile(times, 90)) for key, times in samples.items()}
     nodes = executor.graph.nodes
+    planned = set(executor.row_plan.nodes)
     total = sum(medians[node.name] for node in nodes)
-    header = f"{'node':<34}{'op':<16}{'MACs':>10}{'median us':>12}{'share':>8}{'MAC/s':>11}"
+    header = (
+        f"{'node':<34}{'op':<16}{'rows':>6}{'MACs':>10}{'median us':>12}"
+        f"{'p90 us':>10}{'share':>8}{'MAC/s':>11}"
+    )
     lines = [header, "-" * len(header)]
 
-    def row(name, node, seconds, indent=""):
-        macs = node.macs
+    def row(name, key, node, is_planned, indent=""):
+        macs = executed_macs(node, is_planned)
+        seconds = medians[key]
         rate = f"{batch * macs / seconds:.3g}" if macs and seconds > 0 else "-"
+        rows = f"1/{node.output.shape[-2]}" if is_planned else "all"
         lines.append(
-            f"{indent + name:<34}{node.op:<16}{macs:>10}{seconds * 1e6:>12.1f}"
-            f"{seconds / total:>8.1%}{rate:>11}"
+            f"{indent + name:<34}{node.op:<16}{rows:>6}{macs:>10}{seconds * 1e6:>12.1f}"
+            f"{p90s[key] * 1e6:>10.1f}{seconds / total:>8.1%}{rate:>11}"
         )
 
     for node in nodes:
-        row(node.name, node, medians[node.name])
+        is_planned = node.name in planned
+        row(node.name, node.name, node, is_planned)
         if node.is_fused:
             for sub in node.fusion_chain:
-                row(sub.name, sub, medians[f"{node.name}/{sub.name}"], indent="  ")
+                row(sub.name, f"{node.name}/{sub.name}", sub, is_planned, indent="  ")
     lines.append("-" * len(header))
     by_op = defaultdict(float)
     for node in nodes:
         by_op[node.op] += medians[node.name]
     for op, seconds in sorted(by_op.items(), key=lambda item: -item[1]):
-        lines.append(f"  {op:<32}{seconds * 1e6:>38.1f}{seconds / total:>8.1%}")
+        lines.append(f"  {op:<32}{seconds * 1e6:>44.1f}{seconds / total:>18.1%}")
     e2e = float(np.median(wall))
+    macs = sum(executed_macs(node, node.name in planned) for node in nodes)
+    lines.append(
+        f"row plan: {len(planned)} nodes run on one token row "
+        f"(rows 1/N: MACs executed; GraphNode.macs counts all N rows)"
+    )
     lines.append(
         f"sum of node medians {total * 1e3:.3f} ms; run_integer median {e2e * 1e3:.3f} ms "
         f"(p10 {np.percentile(wall, 10) * 1e3:.3f}, p90 {np.percentile(wall, 90) * 1e3:.3f}); "
-        f"{batch * executor.graph.total_macs / e2e:.3g} MAC/s end to end"
+        f"{batch * macs / e2e:.3g} MAC/s end to end ({macs} MACs executed per sample)"
     )
     return "\n".join(lines)
 

@@ -24,6 +24,15 @@ exact, so the GEMM path is bit-identical to the legacy per-op strided
 einsum kernels by construction — and the test-suite pins that equality per
 shape; ``use_gemm=False`` keeps the einsum path alive for cross-checking.
 
+Nodes whose output only ever reaches the classifier through a
+``select_token`` (the class-token pooling of the paper's Bioformers) run on
+that one token row: :func:`plan_token_rows` derives the row plan from the
+graph once per executor, and :meth:`IntegerGraphExecutor.run_integer`
+feeds each planned node a one-row view of its inputs.  Every planned op is
+row-independent and every requantiser is a lowering-time constant, so the
+logits are bit-identical to running every row (pinned in
+``tests/test_row_plan.py``).
+
 The executor is an *emulator*: it exists so the quantised accuracy reported
 in Table I, the generated weights and the requantisation constants can all
 be validated end-to-end on the host before any code ever reaches the MCU —
@@ -32,12 +41,13 @@ which is exactly how MCU deployment flows are qualified in practice.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..quant import ibert
-from .graph import GraphNode
+from .graph import ComputeGraph, GraphNode, TensorSpec
 from .lowering import (
     ActivationQuantization,
     QuantizedGraph,
@@ -45,7 +55,14 @@ from .lowering import (
     quantize_multiplier,
 )
 
-__all__ = ["IntegerGraphExecutor", "apply_requant", "int_gemm", "requantize"]
+__all__ = [
+    "IntegerGraphExecutor",
+    "RowPlan",
+    "apply_requant",
+    "int_gemm",
+    "plan_token_rows",
+    "requantize",
+]
 
 _INT8_MIN = -128
 _INT8_MAX = 127
@@ -233,6 +250,147 @@ def _im2col(
     return columns.reshape(batch, out_length, channels * kernel)
 
 
+#: Ops whose every output row along the token axis (axis -2) depends only on
+#: the same row of their row-wise inputs: a matmul through its lhs only
+#: (the K/V rhs is read in full), a softmax only along the last axis.
+_ROW_WISE_OPS = frozenset(
+    (
+        "linear",
+        "layernorm",
+        "gelu",
+        "relu",
+        "add",
+        "softmax",
+        "split_heads",
+        "merge_heads",
+        "matmul",
+    )
+)
+
+
+@dataclass(frozen=True)
+class RowPlan:
+    """The nodes that run on one token row only (see :func:`plan_token_rows`).
+
+    ``views`` maps every planned node, in graph order, to the inputs it
+    reads through the one-row view ``t[..., row:row + 1, :]`` of a full
+    tensor; its other row-wise inputs are already the one-row outputs of
+    planned producers, and a matmul rhs is read in full.  ``select`` is the
+    ``select_token`` node rewritten to read row 0 of its one-row input
+    (``None`` when nothing is planned).
+    """
+
+    row: int = 0
+    views: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
+    select: Optional[GraphNode] = None
+
+    @property
+    def nodes(self) -> Tuple[str, ...]:
+        """Names of the planned nodes, in graph order."""
+        return tuple(self.views)
+
+
+def _token_rows(spec: TensorSpec) -> Optional[int]:
+    return spec.shape[-2] if len(spec.shape) >= 2 else None
+
+
+def _row_reads(
+    node: GraphNode, specs: Mapping[str, TensorSpec], tokens: int
+) -> Optional[Tuple[FrozenSet[str], FrozenSet[str]]]:
+    """``(row reads, full reads)`` of a node that can run on one row, else ``None``.
+
+    A fused node qualifies when every stage does and no tensor is read
+    both ways; a stage output read in full by a later stage disqualifies it.
+    """
+    if node.is_fused:
+        local = dict(specs)
+        rows, full, produced = set(), set(), set()
+        for sub in node.fusion_chain:
+            reads = _row_reads(sub, local, tokens)
+            if reads is None or reads[1] & produced:
+                return None
+            rows |= reads[0] - produced
+            full |= reads[1]
+            produced.add(sub.output.name)
+            local[sub.output.name] = sub.output
+        return None if rows & full else (frozenset(rows), frozenset(full))
+    if node.op not in _ROW_WISE_OPS:
+        return None
+    if node.op == "softmax" and int(node.attrs.get("axis", -1)) not in (
+        -1,
+        len(node.output.shape),
+    ):
+        return None
+    if node.op == "matmul":
+        rows, full = frozenset(node.inputs[:1]), frozenset(node.inputs[1:])
+    else:
+        rows, full = frozenset(node.inputs), frozenset()
+    if rows & full or _token_rows(node.output) != tokens:
+        return None
+    if any(_token_rows(specs[name]) != tokens for name in rows):
+        return None
+    return rows, full
+
+
+def plan_token_rows(graph: ComputeGraph) -> RowPlan:
+    """Plan which nodes need to compute only the row ``select_token`` reads.
+
+    Walking the graph backwards from its single ``select_token`` node, a
+    node is planned when its op is row-wise (:data:`_ROW_WISE_OPS`, fused
+    nodes stage by stage) and every reader of its output reads it only at
+    the selected row: the ``select_token`` itself, or a planned node through
+    a row-wise input.  A tensor read as a matmul rhs or by any unplanned
+    node stays full, and so does the graph output, which no node reads.
+    Graphs without exactly one ``select_token`` (TEMPONet, mean pooling)
+    get the empty plan.
+    """
+    selects = [node for node in graph.nodes if node.op == "select_token"]
+    if len(selects) != 1:
+        return RowPlan()
+    select = selects[0]
+    specs = graph.tensor_specs()
+    source = specs[select.inputs[0]]
+    index = int(select.attrs["index"])
+    # select_token indexes axis 1 of the batched tensor: the token axis
+    # (-2) only for a (tokens, features) input.
+    if len(source.shape) != 2 or not -source.shape[0] <= index < source.shape[0]:
+        return RowPlan()
+    tokens = source.shape[0]
+    # Per tensor, one flag per reader: does it read only the selected row?
+    # In reverse SSA order every reader of a node's output is seen first;
+    # readers after the select read in full.
+    row_only: Dict[str, List[bool]] = {select.inputs[0]: [True]}
+    reads_of: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
+    for node in reversed(graph.nodes):
+        if node is select:
+            continue
+        flags = row_only.get(node.output.name)
+        reads = _row_reads(node, specs, tokens)
+        planned = reads is not None and bool(flags) and all(flags)
+        if planned:
+            reads_of[node.name] = reads
+        for name in node.inputs:
+            row_only.setdefault(name, []).append(planned and name in reads[0])
+    if not reads_of:
+        return RowPlan()
+    one_row = set()
+    views: Dict[str, Tuple[str, ...]] = {}
+    for node in graph.nodes:
+        if node.name in reads_of:
+            rows = reads_of[node.name][0]
+            views[node.name] = tuple(
+                dict.fromkeys(
+                    name for name in node.inputs if name in rows and name not in one_row
+                )
+            )
+            one_row.add(node.output.name)
+    return RowPlan(
+        row=index % tokens,
+        views=views,
+        select=replace(select, attrs={**select.attrs, "index": 0}),
+    )
+
+
 class IntegerGraphExecutor:
     """Executes a :class:`QuantizedGraph` with integer-only arithmetic.
 
@@ -276,6 +434,16 @@ class IntegerGraphExecutor:
         # GEMM weight memo: node name -> ((K, N) weight matrix, its peak).
         # Only the activation operand is cast per call.
         self._weight_cache: Dict[str, Tuple[np.ndarray, float]] = {}
+        # The class-token row plan, and the schedule that applies it: each
+        # node with the inputs it reads through a one-row view, or ``None``
+        # when it runs on full tensors.
+        plan = self.row_plan = plan_token_rows(self.graph)
+        self._schedule: List[Tuple[GraphNode, Optional[Tuple[str, ...]]]] = [
+            (plan.select, ())
+            if plan.select is not None and node.name == plan.select.name
+            else (node, plan.views.get(node.name))
+            for node in self.graph.nodes
+        ]
 
     @property
     def uses_luts(self) -> bool:
@@ -540,7 +708,11 @@ class IntegerGraphExecutor:
     # Whole-graph execution
     # ------------------------------------------------------------------ #
     def run_integer(self, inputs: np.ndarray) -> np.ndarray:
-        """Run the graph; returns the *integer* logits (int8 grid)."""
+        """Run the graph; returns the *integer* logits (int8 grid).
+
+        Nodes of the row plan (:attr:`row_plan`) compute only the token row
+        the classifier reads; every other node runs on full tensors.
+        """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim == len(self.graph.graph_input.shape):
             inputs = inputs[None, ...]
@@ -548,8 +720,15 @@ class IntegerGraphExecutor:
         tensors: Dict[str, np.ndarray] = {
             self.graph.graph_input.name: input_quant.quantize(inputs)
         }
-        for node in self.graph.nodes:
-            tensors[node.output.name] = self._run_node(node, tensors)
+        row = slice(self.row_plan.row, self.row_plan.row + 1)
+        for node, views in self._schedule:
+            if views is None:
+                tensors[node.output.name] = self._run_node(node, tensors)
+                continue
+            local = {name: tensors[name] for name in node.inputs}
+            for name in views:
+                local[name] = local[name][..., row, :]
+            tensors[node.output.name] = self._run_node(node, local)
         return tensors[self.graph.output.name]
 
     def run(self, inputs: np.ndarray) -> np.ndarray:
